@@ -250,42 +250,6 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds a fleet from explicit (possibly heterogeneous) replicas,
-    /// all initially live, with no migration delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is empty (a fleet must route somewhere) or
-    /// if any replica's `max_batch` is zero.
-    #[deprecated(note = "use `FleetBuilder` — it also names initial \
-                         lifecycle states and the migration delay")]
-    #[must_use]
-    pub fn new(replicas: Vec<FleetReplica>) -> Self {
-        let mut b = FleetBuilder::new();
-        for r in replicas {
-            b = b.replica(r);
-        }
-        b.build()
-    }
-
-    /// Builds `n` identical replicas from factory closures (one fresh
-    /// cost model and policy per replica), all initially live, with no
-    /// migration delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `config.max_batch` is zero.
-    #[deprecated(note = "use `FleetBuilder::group`")]
-    #[must_use]
-    pub fn homogeneous(
-        n: usize,
-        config: &ServeConfig,
-        cost: impl FnMut() -> Box<dyn CostModel>,
-        policy: impl FnMut() -> Box<dyn SchedulingPolicy>,
-    ) -> Self {
-        FleetBuilder::new().group(n, config, cost, policy).build()
-    }
-
     /// Number of provisioned replica slots (whatever their state).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -344,8 +308,7 @@ impl Fleet {
         let cores: Vec<Core> = self.replicas.iter().map(|r| Core::new(r.config)).collect();
         let telemetry = cached_telemetry(&cores, &self.replicas);
         let states = self.initial_states.clone();
-        let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
-        let index = FleetRoutingIndex::new(&telemetry, &routable);
+        let index = FleetRoutingIndex::new(&telemetry, routable_mask(&states));
         let kv_caps = self
             .replicas
             .iter()
@@ -356,7 +319,7 @@ impl Fleet {
             cores,
             // Fresh cores are idle (next event at infinity), so the
             // wake-up calendar starts empty; the first arrival seeds it.
-            wake: CalendarQueue::with_components(self.replicas.len()),
+            wake: CalendarQueue::new(self.replicas.len()),
             telemetry,
             index,
             route_stats: RouteStats::default(),
@@ -366,7 +329,6 @@ impl Fleet {
             events: 0,
             fingerprint: workload_fingerprint(workload),
             states,
-            routable,
             pending_events: VecDeque::new(),
             displaced: VecDeque::new(),
             now_s: 0.0,
@@ -479,8 +441,8 @@ pub struct FleetRun {
     /// The global wake-up calendar: each replica's next scheduling
     /// event, keyed `(tick, replica)`. A replica's entry is refreshed
     /// after every event that touches it — nothing else can move its
-    /// next event — so the driver pops the globally earliest event in
-    /// `O(log n)` instead of scanning every replica per event. Not
+    /// next event — so the driver reads the globally earliest event
+    /// from the root instead of scanning every replica per event. Not
     /// serialised: rebuilt deterministically from the cores on resume.
     wake: CalendarQueue,
     /// Cached per-replica telemetry, index-aligned with `cores`. A
@@ -492,10 +454,11 @@ pub struct FleetRun {
     /// rebuilt deterministically from the cores on resume, like the
     /// wake-up calendar.
     telemetry: Vec<ReplicaTelemetry>,
-    /// Ordered indexes over `telemetry` and `routable` — the routers'
-    /// `O(log R)` lookup structure. One dirty mark per event keeps it
-    /// in sync; like the telemetry cache it is derived state, rebuilt
-    /// on resume, never serialised.
+    /// Ordered indexes over `telemetry`, and the routable mask the
+    /// router sees (`states[i].is_routable()`) — the routers' `O(log R)`
+    /// lookup structure. One dirty mark per event keeps it in sync;
+    /// like the telemetry cache it is derived state, rebuilt on resume,
+    /// never serialised.
     index: FleetRoutingIndex,
     /// Routing-path counters, shared into every view handed a router.
     route_stats: RouteStats,
@@ -509,8 +472,6 @@ pub struct FleetRun {
     fingerprint: u64,
     /// Each slot's current lifecycle state, in replica order.
     states: Vec<LifecycleState>,
-    /// `states[i].is_routable()`, cached as the mask the router sees.
-    routable: Vec<bool>,
     /// Injected lifecycle events not yet applied, sorted by time
     /// (stable: equal-time events apply in injection order).
     pending_events: VecDeque<FleetEvent>,
@@ -537,7 +498,7 @@ pub struct FleetRun {
 pub struct PerfCounters {
     /// Routing decisions made (arrivals plus displaced re-routes).
     pub route_calls: u64,
-    /// Routing lookups answered from the [`FleetRoutingIndex`].
+    /// Routing lookups answered from the fleet's routing index.
     pub route_index_hits: u64,
     /// Linear `O(R)` routing scans taken. Zero for the built-in
     /// routers outside join-shortest-queue's KV-saturated slow path.
@@ -561,6 +522,11 @@ fn cached_telemetry(cores: &[Core], replicas: &[FleetReplica]) -> Vec<ReplicaTel
         .zip(replicas)
         .map(|(c, r)| c.telemetry(r.cost.kv_capacity_tokens()))
         .collect()
+}
+
+/// The mask of slots that may receive new work.
+fn routable_mask(states: &[LifecycleState]) -> Vec<bool> {
+    states.iter().map(|s| s.is_routable()).collect()
 }
 
 /// Advances the machine-seconds integral to `t`: each non-down (live
@@ -681,11 +647,6 @@ impl FleetRun {
         // live count incrementally, so this is O(1) instead of a mask
         // scan per event.
         let any_live = self.index.live_count() > 0;
-        debug_assert_eq!(
-            any_live,
-            self.routable.iter().any(|&r| r),
-            "index live count drifted from the routable mask"
-        );
         let raw_reroute = self
             .displaced
             .front()
@@ -733,8 +694,7 @@ impl FleetRun {
                     .push_back((ev.at_s + self.migration_delay_s, q));
             }
             let i = ev.replica as usize;
-            self.routable[i] = self.states[i].is_routable();
-            self.index.set_routable(i, self.routable[i]);
+            self.index.set_routable(i, self.states[i].is_routable());
             self.telemetry[i] = self.cores[i].telemetry(self.kv_caps[i]);
             debug_assert_eq!(
                 self.telemetry,
@@ -744,7 +704,7 @@ impl FleetRun {
             self.log.push(Command::Lifecycle(ev));
             router.on_fleet_event(
                 &ev,
-                &RoutingView::new(&self.telemetry, &self.routable, ev.at_s)
+                &RoutingView::new(&self.telemetry, self.index.routable(), ev.at_s)
                     .with_index(&self.index)
                     .with_stats(&self.route_stats),
             );
@@ -764,12 +724,15 @@ impl FleetRun {
             self.route_stats.note_route_call();
             let pick = router.route(
                 &q.req,
-                &RoutingView::new(&self.telemetry, &self.routable, t)
+                &RoutingView::new(&self.telemetry, self.index.routable(), t)
                     .with_index(&self.index)
                     .with_stats(&self.route_stats),
             );
             assert!(pick < self.cores.len(), "router picked out of range");
-            assert!(self.routable[pick], "router picked an unroutable replica");
+            assert!(
+                self.index.routable()[pick],
+                "router picked an unroutable replica"
+            );
             self.assigned[pick] += 1;
             self.cores[pick].enqueue_displaced(q, t);
             self.log.push(Command::Reroute {
@@ -787,12 +750,15 @@ impl FleetRun {
             self.route_stats.note_route_call();
             let pick = router.route(
                 &req,
-                &RoutingView::new(&self.telemetry, &self.routable, self.now_s)
+                &RoutingView::new(&self.telemetry, self.index.routable(), self.now_s)
                     .with_index(&self.index)
                     .with_stats(&self.route_stats),
             );
             assert!(pick < self.cores.len(), "router picked out of range");
-            assert!(self.routable[pick], "router picked an unroutable replica");
+            assert!(
+                self.index.routable()[pick],
+                "router picked an unroutable replica"
+            );
             self.assigned[pick] += 1;
             self.cores[pick].enqueue(req);
             self.log.push(Command::Enqueue {
@@ -800,7 +766,9 @@ impl FleetRun {
             });
             pick
         } else {
-            let (tick, which) = self.wake.pop().expect("next_event is finite");
+            // Read, not popped: the reschedule below overwrites this
+            // replica's entry in one pull-up.
+            let (tick, which) = self.wake.peek().expect("next_event is finite");
             self.now_s = self.now_s.max(tick);
             let which = which as usize;
             let replica = &mut fleet.replicas[which];
@@ -850,7 +818,7 @@ impl FleetRun {
     /// `None` when it is complete (or wedged — [`FleetRun::step`]
     /// distinguishes the two).
     #[must_use]
-    pub fn next_time(&mut self) -> Option<f64> {
+    pub fn next_time(&self) -> Option<f64> {
         let any_live = self.index.live_count() > 0;
         let next_lifecycle = self
             .pending_events
@@ -1168,13 +1136,12 @@ impl FleetRun {
         // and lifecycle states (identical (tick, id) keys reproduce
         // the frozen run's pop order exactly; identical counters
         // reproduce its routing).
-        let mut wake = CalendarQueue::with_components(cores.len());
-        for (i, core) in cores.iter_mut().enumerate() {
+        let mut wake = CalendarQueue::new(cores.len());
+        for (i, core) in cores.iter().enumerate() {
             wake.schedule(i as u32, core.next_event_s());
         }
         let telemetry = cached_telemetry(&cores, &fleet.replicas);
-        let routable: Vec<bool> = states.iter().map(|s| s.is_routable()).collect();
-        let index = FleetRoutingIndex::new(&telemetry, &routable);
+        let index = FleetRoutingIndex::new(&telemetry, routable_mask(&states));
         let kv_caps = fleet
             .replicas
             .iter()
@@ -1193,7 +1160,6 @@ impl FleetRun {
             events,
             fingerprint,
             states,
-            routable,
             pending_events,
             displaced,
             now_s,
@@ -1213,13 +1179,15 @@ impl FleetRun {
     }
 
     /// Finalises the run and yields the merged fleet report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any issued request is still pending, queued, resident
+    /// or displaced: a finished run completes or rejects every request.
     #[must_use]
     pub fn into_report(mut self) -> FleetReport {
         debug_assert!(self.source.exhausted());
-        debug_assert!(
-            self.displaced.is_empty(),
-            "report taken with displaced requests in flight"
-        );
+        self.stats().assert_settled();
         accrue_machine_seconds(
             &self.states,
             &mut self.ms_accrued,
@@ -1452,23 +1420,6 @@ mod tests {
                 || Box::new(Fifo),
             )
             .build()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_build_all_live_fleets() {
-        let f = Fleet::homogeneous(
-            3,
-            &ServeConfig::default(),
-            || Box::new(AnalyticCostModel::small()),
-            || Box::new(Fifo),
-        );
-        assert_eq!(f.len(), 3);
-        assert!(f
-            .initial_states()
-            .iter()
-            .all(|s| *s == LifecycleState::Live));
-        assert_eq!(f.migration_delay_s(), 0.0);
     }
 
     #[test]

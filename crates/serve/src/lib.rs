@@ -80,7 +80,6 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 mod arrivals;
 mod autoscale;
 pub mod bisect;
@@ -92,6 +91,7 @@ mod fleet;
 pub mod lifecycle;
 mod lut;
 mod metrics;
+mod min_tree;
 mod policy;
 mod replay;
 mod request;
@@ -102,11 +102,9 @@ mod scheduler;
 mod slab;
 pub mod snapshot;
 
-pub use arena::ChunkArena;
 pub use arrivals::{fuzz_tape, ArrivalProcess, FuzzFamily, RequestSource, Workload};
 pub use autoscale::{run_autoscaled, Autoscaler, AutoscalerConfig};
 pub use bisect::{bisect_divergence, BisectOutcome};
-pub use calendar::CalendarQueue;
 pub use class::{ClassSpec, SloTargets};
 pub use cost::{AnalyticCostModel, CostModel};
 pub use digest::{
@@ -127,7 +125,5 @@ pub use router::{
     JoinShortestQueue, LeastKvLoad, ReplicaTelemetry, RoundRobin, RouteStats, Router, RoutingView,
     SessionAffinity,
 };
-pub use routing_index::FleetRoutingIndex;
 pub use scheduler::{serve, serve_with, RunStats, ServeConfig, ServeReport, ServeRun};
-pub use slab::Slab;
 pub use snapshot::SnapshotError;

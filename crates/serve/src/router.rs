@@ -86,8 +86,8 @@ impl ReplicaTelemetry {
 ///
 /// [`RouteStats::scan_fallbacks`] is the number to watch: it counts
 /// every `O(R)` linear scan taken where an indexed lookup was the
-/// alternative — zero on a built-in-router run with the fleet's
-/// [`FleetRoutingIndex`] attached (barring the KV-saturated
+/// alternative — zero on a built-in-router fleet run, whose views
+/// carry the fleet's routing index (barring the KV-saturated
 /// join-shortest-queue slow path, which is exact by design).
 #[derive(Debug, Default)]
 pub struct RouteStats {
@@ -103,7 +103,8 @@ impl RouteStats {
         self.route_calls.get()
     }
 
-    /// Indexed (`O(log R)` or bitset) lookups answered.
+    /// Lookups answered from a fleet's routing index (its `O(log R)`
+    /// trees or its routable mask).
     #[must_use]
     pub fn index_hits(&self) -> u64 {
         self.index_hits.get()
@@ -139,10 +140,9 @@ impl RouteStats {
 ///
 /// # Writing an `O(log R)` custom router
 ///
-/// A fleet run attaches its [`FleetRoutingIndex`] to every view it
-/// hands a router, and the view's [`RoutingView::min_backlog_replica`],
-/// [`RoutingView::min_kv_load_replica`] and
-/// [`RoutingView::next_routable_from`] lookups answer from that index
+/// A fleet run attaches its routing index to every view it hands a
+/// router, and the view's [`RoutingView::min_backlog_replica`] and
+/// [`RoutingView::min_kv_load_replica`] lookups answer from that index
 /// in `O(log R)` (falling back to the exact linear scan on a bare
 /// view, so picks are identical either way). Custom routers opt in by
 /// phrasing their decision through those lookups instead of scanning
@@ -221,13 +221,11 @@ impl<'a> RoutingView<'a> {
         }
     }
 
-    /// Attaches a [`FleetRoutingIndex`] kept in sync with `telemetry`
-    /// and the routable mask: the view's argmin and next-routable
-    /// lookups then answer from the index instead of scanning. The
-    /// fleet driver attaches its own index to every view it builds;
-    /// custom harnesses may attach one they maintain themselves.
+    /// Attaches the fleet's routing index, kept in sync with
+    /// `telemetry` and owning the routable mask: the view's argmin
+    /// lookups then answer from the index instead of scanning.
     #[must_use]
-    pub fn with_index(mut self, index: &'a FleetRoutingIndex) -> Self {
+    pub(crate) fn with_index(mut self, index: &'a FleetRoutingIndex) -> Self {
         self.index = Some(index);
         self
     }
@@ -303,8 +301,8 @@ impl<'a> RoutingView<'a> {
     /// by lowest index — the exact argmin `(backlog, index)` order
     /// [`JoinShortestQueue`] ranks by. `None` when nothing is routable.
     ///
-    /// `O(log R)` with an attached [`FleetRoutingIndex`], an `O(R)`
-    /// scan otherwise — same answer either way.
+    /// `O(log R)` on a fleet run's view (which carries the routing
+    /// index), an `O(R)` scan otherwise — same answer either way.
     #[must_use]
     pub fn min_backlog_replica(&self) -> Option<usize> {
         if let Some(idx) = self.index {
@@ -322,8 +320,8 @@ impl<'a> RoutingView<'a> {
     /// comparison order (`f64::total_cmp` on the fraction). `None`
     /// when nothing is routable.
     ///
-    /// `O(log R)` with an attached [`FleetRoutingIndex`], an `O(R)`
-    /// scan otherwise — same answer either way.
+    /// `O(log R)` on a fleet run's view (which carries the routing
+    /// index), an `O(R)` scan otherwise — same answer either way.
     #[must_use]
     pub fn min_kv_load_replica(&self) -> Option<usize> {
         if let Some(idx) = self.index {
@@ -349,8 +347,9 @@ impl<'a> RoutingView<'a> {
     /// start + 1, .., len - 1, 0, .., start - 1` — [`RoundRobin`]'s
     /// probe. `None` when nothing is routable.
     ///
-    /// A bitset word-scan with an attached [`FleetRoutingIndex`], a
-    /// per-slot loop otherwise — same answer either way.
+    /// A walk over the mask, which stops at the first probe on an
+    /// all-live fleet. On a fleet run's view the mask is the routing
+    /// index's own, so the walk counts as an index hit.
     ///
     /// # Panics
     ///
@@ -358,14 +357,13 @@ impl<'a> RoutingView<'a> {
     #[must_use]
     pub fn next_routable_from(&self, start: usize) -> Option<usize> {
         assert!(start < self.routable.len(), "start slot out of range");
-        if let Some(idx) = self.index {
+        if self.index.is_some() {
             self.note_index_hit();
-            idx.next_routable_from(start)
         } else {
             self.note_scan();
-            let n = self.routable.len();
-            (0..n).map(|k| (start + k) % n).find(|&i| self.routable[i])
         }
+        let n = self.routable.len();
+        (0..n).map(|k| (start + k) % n).find(|&i| self.routable[i])
     }
 }
 
@@ -510,8 +508,8 @@ impl Router for RoundRobin {
 /// (the replica's own admission back-pressure then queues the request
 /// until space frees).
 ///
-/// With a [`FleetRoutingIndex`] attached to the view, the common case
-/// is one `O(log R)` lookup: the global backlog argmin that has KV
+/// On a fleet run's view, which carries the routing index, the common
+/// case is one `O(log R)` lookup: the global backlog argmin that has KV
 /// headroom *is* the headroom-restricted argmin (the restricted set is
 /// a subset containing it). Only when the argmin is KV-saturated does
 /// the exact restricted scan run — counted as a

@@ -4,25 +4,20 @@
 //! The fleet driver refreshes exactly one replica's telemetry per
 //! event, so a full `O(R)` scan per routing decision re-reads `R - 1`
 //! entries that cannot have changed. [`FleetRoutingIndex`] turns that
-//! scan into an indexed lookup:
-//!
-//! * two **tournament trees** (flat, power-of-two padded, one `u64` /
-//!   key-pair per node) hold every *routable* replica keyed exactly as
-//!   the built-in routers compare them — `(backlog, index)` for
-//!   [`crate::JoinShortestQueue`] and `(kv-load bits, backlog, index)`
-//!   for [`crate::LeastKvLoad`]. Internal nodes store the full winning
-//!   key, so the argmin is a root read and a leaf refresh is one
-//!   `O(log R)` pull-up;
-//! * a **routable bitset** answers "first routable replica at or after
-//!   slot `i`, wrapping" — [`crate::RoundRobin`]'s probe — by word
-//!   scan instead of a per-slot loop.
+//! scan into an indexed lookup: two [`MinTree`]s hold every *routable*
+//! replica keyed exactly as the built-in routers compare them —
+//! `(backlog, index)` for [`crate::JoinShortestQueue`] and
+//! `(kv-load bits, backlog, index)` for [`crate::LeastKvLoad`] — so the
+//! argmin is a root read and a leaf refresh is one `O(log R)` pull-up.
+//! The index also owns the fleet's routable mask and its live count:
+//! the one copy every [`crate::RoutingView`] of a fleet run borrows.
 //!
 //! Updates are split in two so runs that never query a tree never pay
 //! for it: the driver **marks** a replica dirty in `O(1)` after each
 //! event, and the first query **flushes** the accumulated dirty set
 //! (each replica at most once) before reading the root. Lifecycle
-//! transitions update the bitset eagerly — it is the cheap index and
-//! the one `RoundRobin` needs fresh.
+//! transitions update the mask eagerly — [`crate::RoundRobin`] walks
+//! it directly.
 //!
 //! Key packing preserves the routers' exact comparison order. Backlogs
 //! pack as `backlog << 32 | index`, so the unsigned order of the packed
@@ -36,11 +31,12 @@
 //! start and resume and is never serialised, so snapshot wire formats
 //! are untouched. Routers reach it through
 //! [`crate::RoutingView::min_backlog_replica`] and friends, which fall
-//! back to the original scans when no index is attached — custom
+//! back to the original scans on a view without an index — custom
 //! routers opt in by calling those methods instead of scanning.
 
 use std::cell::RefCell;
 
+use crate::min_tree::MinTree;
 use crate::router::ReplicaTelemetry;
 
 /// Sentinel key for unroutable replicas and padding leaves: loses every
@@ -62,21 +58,14 @@ fn kv_key(t: &ReplicaTelemetry, i: usize) -> (u64, u64) {
     (t.kv_load().to_bits(), backlog_key(t, i))
 }
 
+/// The lazily flushed half of the index: the two trees and their
+/// pending dirty set.
 #[derive(Debug)]
-struct Inner {
-    /// Provisioned replica slots (leaves in use).
-    n: usize,
-    /// Leaf span: `n.next_power_of_two()`.
-    size: usize,
-    /// Min-tournament over packed `(backlog, index)` keys; 1-based,
-    /// root at `[1]`, leaves at `[size ..]`.
-    backlog: Vec<u64>,
+struct Trees {
+    /// Min-tournament over packed `(backlog, index)` keys.
+    backlog: MinTree<u64>,
     /// Min-tournament over `(kv-load bits, backlog-key)` pairs.
-    kv: Vec<(u64, u64)>,
-    /// Routable bitset, one bit per slot, maintained eagerly.
-    live: Vec<u64>,
-    /// Number of set bits in `live`.
-    live_count: usize,
+    kv: MinTree<(u64, u64)>,
     /// Replicas whose leaves are stale, each listed at most once.
     dirty: Vec<u32>,
     /// `dirty` membership, indexed by replica.
@@ -87,100 +76,60 @@ struct Inner {
     marks: u64,
 }
 
-impl Inner {
-    fn is_live(&self, i: usize) -> bool {
-        (self.live[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Recomputes leaf `i` from its telemetry and pulls the change up
-    /// to the root, stopping at the first ancestor both tournaments
-    /// already agree on.
-    fn refresh_leaf(&mut self, i: usize, t: &ReplicaTelemetry) {
-        let (bk, kk) = if self.is_live(i) {
+impl Trees {
+    /// Recomputes leaf `i` of both trees from its telemetry.
+    fn refresh_leaf(&mut self, i: usize, t: &ReplicaTelemetry, routable: bool) {
+        let (bk, kk) = if routable {
             (backlog_key(t, i), kv_key(t, i))
         } else {
             (NO_KEY, (NO_KEY, NO_KEY))
         };
-        let mut node = self.size + i;
-        if self.backlog[node] == bk && self.kv[node] == kk {
-            return;
+        // Non-short-circuit `|`: both trees must see the update.
+        if self.backlog.set(i, bk) | self.kv.set(i, kk) {
+            self.leaf_updates += 1;
         }
-        self.backlog[node] = bk;
-        self.kv[node] = kk;
-        while node > 1 {
-            node /= 2;
-            let (l, r) = (node * 2, node * 2 + 1);
-            let nb = self.backlog[l].min(self.backlog[r]);
-            let nk = self.kv[l].min(self.kv[r]);
-            if self.backlog[node] == nb && self.kv[node] == nk {
-                break;
-            }
-            self.backlog[node] = nb;
-            self.kv[node] = nk;
-        }
-        self.leaf_updates += 1;
     }
 
     /// Applies every pending dirty mark against the current telemetry.
-    fn flush(&mut self, telemetry: &[ReplicaTelemetry]) {
-        debug_assert_eq!(telemetry.len(), self.n, "index and telemetry disagree");
+    fn flush(&mut self, telemetry: &[ReplicaTelemetry], routable: &[bool]) {
+        debug_assert_eq!(
+            telemetry.len(),
+            routable.len(),
+            "index and telemetry disagree"
+        );
         while let Some(i) = self.dirty.pop() {
             let i = i as usize;
             self.dirty_mask[i] = false;
-            self.refresh_leaf(i, &telemetry[i]);
+            self.refresh_leaf(i, &telemetry[i], routable[i]);
         }
-    }
-
-    /// First routable slot in the wrapping order `start, start + 1, ..,
-    /// n - 1, 0, .., start - 1`.
-    fn next_routable(&self, start: usize) -> Option<usize> {
-        if self.live_count == 0 {
-            return None;
-        }
-        debug_assert!(start < self.n);
-        let nw = self.live.len();
-        let w0 = start / 64;
-        let head = self.live[w0] & (!0u64 << (start % 64));
-        if head != 0 {
-            return Some(w0 * 64 + head.trailing_zeros() as usize);
-        }
-        for k in 1..=nw {
-            let w = (w0 + k) % nw;
-            let m = if w == w0 {
-                // Back at the start word: only the bits before `start`
-                // remain candidates.
-                self.live[w0] & !(!0u64 << (start % 64))
-            } else {
-                self.live[w]
-            };
-            if m != 0 {
-                return Some(w * 64 + m.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 }
 
 /// Incrementally maintained routing indexes over one fleet's replica
-/// telemetry — see the module docs for the design.
+/// telemetry, plus the fleet's routable mask — see the module docs for
+/// the design.
 ///
 /// Owned by [`crate::FleetRun`], which marks one replica dirty per
-/// event and flips bitset bits on lifecycle transitions; queries come
-/// from routers via [`crate::RoutingView`]. Queries take `&self`
-/// (lazy flushing uses interior mutability) so a `RoutingView` can
-/// carry a shared reference.
-pub struct FleetRoutingIndex {
-    inner: RefCell<Inner>,
+/// event and flips mask entries on lifecycle transitions; queries come
+/// from routers via [`crate::RoutingView`]. Queries take `&self` (lazy
+/// flushing uses interior mutability) so a `RoutingView` can carry a
+/// shared reference.
+pub(crate) struct FleetRoutingIndex {
+    /// `true` for replicas that may receive new work.
+    routable: Vec<bool>,
+    /// Number of `true` entries in `routable`.
+    live_count: usize,
+    trees: RefCell<Trees>,
 }
 
 impl std::fmt::Debug for FleetRoutingIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let trees = self.trees.borrow();
         f.debug_struct("FleetRoutingIndex")
-            .field("replicas", &inner.n)
-            .field("live", &inner.live_count)
-            .field("dirty", &inner.dirty.len())
-            .field("leaf_updates", &inner.leaf_updates)
+            .field("replicas", &self.routable.len())
+            .field("live", &self.live_count)
+            .field("dirty", &trees.dirty.len())
+            .field("leaf_updates", &trees.leaf_updates)
             .finish()
     }
 }
@@ -191,80 +140,67 @@ impl FleetRoutingIndex {
     ///
     /// # Panics
     ///
-    /// Panics when the slices disagree on the replica count.
-    #[must_use]
-    pub fn new(telemetry: &[ReplicaTelemetry], routable: &[bool]) -> Self {
+    /// Panics when the two disagree on the replica count.
+    pub(crate) fn new(telemetry: &[ReplicaTelemetry], routable: Vec<bool>) -> Self {
         assert_eq!(
             telemetry.len(),
             routable.len(),
             "telemetry and routable mask must cover the same replicas"
         );
         let n = telemetry.len();
-        let size = n.next_power_of_two().max(1);
-        let mut live = vec![0u64; n.div_ceil(64).max(1)];
-        let mut live_count = 0;
-        for (i, &r) in routable.iter().enumerate() {
-            if r {
-                live[i / 64] |= 1u64 << (i % 64);
-                live_count += 1;
-            }
-        }
-        let mut inner = Inner {
-            n,
-            size,
-            backlog: vec![NO_KEY; 2 * size],
-            kv: vec![(NO_KEY, NO_KEY); 2 * size],
-            live,
-            live_count,
+        let mut trees = Trees {
+            backlog: MinTree::new(n, NO_KEY),
+            kv: MinTree::new(n, (NO_KEY, NO_KEY)),
             dirty: Vec::with_capacity(n),
             dirty_mask: vec![false; n],
             leaf_updates: 0,
             marks: 0,
         };
         for (i, t) in telemetry.iter().enumerate() {
-            inner.refresh_leaf(i, t);
+            trees.refresh_leaf(i, t, routable[i]);
         }
-        inner.leaf_updates = 0;
+        trees.leaf_updates = 0;
         Self {
-            inner: RefCell::new(inner),
+            live_count: routable.iter().filter(|&&r| r).count(),
+            routable,
+            trees: RefCell::new(trees),
         }
     }
 
     /// Records that replica `i`'s telemetry may have changed: `O(1)`,
     /// deduplicated. The stale leaf is recomputed lazily on the next
     /// tree query.
-    pub fn mark_dirty(&self, i: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.marks += 1;
-        if !inner.dirty_mask[i] {
-            inner.dirty_mask[i] = true;
-            inner.dirty.push(i as u32);
+    pub(crate) fn mark_dirty(&mut self, i: usize) {
+        let trees = self.trees.get_mut();
+        trees.marks += 1;
+        if !trees.dirty_mask[i] {
+            trees.dirty_mask[i] = true;
+            trees.dirty.push(i as u32);
         }
     }
 
-    /// Flips replica `i`'s routable bit (eagerly — the bitset must be
+    /// Sets replica `i`'s routable flag (eagerly — the mask must be
     /// fresh for every query) and marks its tree leaves dirty.
-    pub fn set_routable(&self, i: usize, routable: bool) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let (word, bit) = (i / 64, 1u64 << (i % 64));
-            let was = inner.live[word] & bit != 0;
-            if was != routable {
-                inner.live[word] ^= bit;
-                if routable {
-                    inner.live_count += 1;
-                } else {
-                    inner.live_count -= 1;
-                }
+    pub(crate) fn set_routable(&mut self, i: usize, routable: bool) {
+        if self.routable[i] != routable {
+            self.routable[i] = routable;
+            if routable {
+                self.live_count += 1;
+            } else {
+                self.live_count -= 1;
             }
         }
         self.mark_dirty(i);
     }
 
+    /// The routable mask, index-aligned with the telemetry.
+    pub(crate) fn routable(&self) -> &[bool] {
+        &self.routable
+    }
+
     /// How many replicas are currently routable.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
-        self.inner.borrow().live_count
+    pub(crate) fn live_count(&self) -> usize {
+        self.live_count
     }
 
     /// The routable replica minimising `(backlog, index)` — the
@@ -272,46 +208,38 @@ impl FleetRoutingIndex {
     /// nothing is routable. Flushes pending dirty marks against
     /// `telemetry`, which must be the same per-replica slice the marks
     /// were issued for.
-    #[must_use]
-    pub fn min_backlog_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
-        let mut inner = self.inner.borrow_mut();
-        inner.flush(telemetry);
-        let key = inner.backlog[1];
+    pub(crate) fn min_backlog_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
+        let mut trees = self.trees.borrow_mut();
+        trees.flush(telemetry, &self.routable);
+        let key = trees.backlog.min();
         (key != NO_KEY).then_some((key & u64::from(u32::MAX)) as usize)
     }
 
     /// The routable replica minimising `(kv_load, backlog, index)`
     /// under `f64::total_cmp` — [`crate::LeastKvLoad`]'s exact order —
     /// or `None` when nothing is routable.
-    #[must_use]
-    pub fn min_kv_load_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
-        let mut inner = self.inner.borrow_mut();
-        inner.flush(telemetry);
-        let (load, key) = inner.kv[1];
+    pub(crate) fn min_kv_load_replica(&self, telemetry: &[ReplicaTelemetry]) -> Option<usize> {
+        let mut trees = self.trees.borrow_mut();
+        trees.flush(telemetry, &self.routable);
+        let (load, key) = trees.kv.min();
         (load != NO_KEY).then_some((key & u64::from(u32::MAX)) as usize)
-    }
-
-    /// First routable replica in the wrapping slot order `start, start
-    /// + 1, .., n - 1, 0, ..` — [`crate::RoundRobin`]'s probe — or
-    /// `None` when nothing is routable.
-    #[must_use]
-    pub fn next_routable_from(&self, start: usize) -> Option<usize> {
-        self.inner.borrow().next_routable(start)
     }
 
     /// `(leaf updates applied, dirty marks observed)` since
     /// construction — the index-maintenance counters behind the
     /// driver's `--counters` report.
-    #[must_use]
-    pub fn update_counts(&self) -> (u64, u64) {
-        let inner = self.inner.borrow();
-        (inner.leaf_updates, inner.marks)
+    pub(crate) fn update_counts(&self) -> (u64, u64) {
+        let trees = self.trees.borrow();
+        (trees.leaf_updates, trees.marks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::ServeRng;
+    use crate::router::RoutingView;
+    use proptest::prelude::*;
 
     fn tel(queue: u32, active: u32, reserved: u64, cap: u64) -> ReplicaTelemetry {
         ReplicaTelemetry {
@@ -349,7 +277,7 @@ mod tests {
             .map(|i| tel(i % 3, 0, u64::from(i) * 100, 4096))
             .collect();
         let routable = vec![true; 13];
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, routable.clone());
         assert_eq!(
             idx.min_backlog_replica(&telemetry),
             scan_backlog(&telemetry, &routable)
@@ -381,7 +309,7 @@ mod tests {
     fn unroutable_replicas_never_win() {
         let telemetry: Vec<ReplicaTelemetry> = (0..5).map(|i| tel(i, 0, 0, 4096)).collect();
         let mut routable = vec![true; 5];
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, routable.clone());
         assert_eq!(idx.min_backlog_replica(&telemetry), Some(0));
         idx.set_routable(0, false);
         routable[0] = false;
@@ -396,30 +324,37 @@ mod tests {
 
     #[test]
     fn empty_and_all_down_fleets_answer_none() {
-        let idx = FleetRoutingIndex::new(&[], &[]);
+        let idx = FleetRoutingIndex::new(&[], Vec::new());
         assert_eq!(idx.min_backlog_replica(&[]), None);
         assert_eq!(idx.live_count(), 0);
         let telemetry = vec![tel(0, 0, 0, 1024); 3];
-        let idx = FleetRoutingIndex::new(&telemetry, &[false; 3]);
+        let idx = FleetRoutingIndex::new(&telemetry, vec![false; 3]);
         assert_eq!(idx.min_backlog_replica(&telemetry), None);
         assert_eq!(idx.min_kv_load_replica(&telemetry), None);
-        assert_eq!(idx.next_routable_from(1), None);
+        assert_eq!(idx.live_count(), 0);
     }
 
     #[test]
     fn next_routable_wraps_like_the_round_robin_probe() {
-        // 130 slots spans three bitset words; punch a sparse pattern.
+        // A sparse pattern over 130 slots, walked through a view of the
+        // index's own mask: every start finds the first routable slot
+        // in wrapping order, and flips land in the mask the view reads.
         let n = 130;
         let telemetry = vec![tel(0, 0, 0, 1024); n];
         let mut routable = vec![false; n];
         for &i in &[3usize, 64, 65, 127, 129] {
             routable[i] = true;
         }
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
+        let mut idx = FleetRoutingIndex::new(&telemetry, routable.clone());
+        idx.set_routable(3, false);
+        idx.set_routable(0, true);
+        routable[3] = false;
+        routable[0] = true;
+        let view = RoutingView::new(&telemetry, idx.routable(), 0.0).with_index(&idx);
         let reference = |start: usize| (0..n).map(|k| (start + k) % n).find(|&i| routable[i]);
         for start in 0..n {
             assert_eq!(
-                idx.next_routable_from(start),
+                view.next_routable_from(start),
                 reference(start),
                 "start {start}"
             );
@@ -429,7 +364,7 @@ mod tests {
     #[test]
     fn dirty_marks_deduplicate_and_flush_once() {
         let mut telemetry = vec![tel(1, 0, 0, 1024); 4];
-        let idx = FleetRoutingIndex::new(&telemetry, &[true; 4]);
+        let mut idx = FleetRoutingIndex::new(&telemetry, vec![true; 4]);
         telemetry[2].queue_depth = 0;
         for _ in 0..10 {
             idx.mark_dirty(2);
@@ -445,5 +380,97 @@ mod tests {
         idx.mark_dirty(2);
         let _ = idx.min_backlog_replica(&telemetry);
         assert_eq!(idx.update_counts().0, 1);
+    }
+
+    /// Random telemetry with small ranges on purpose: ties on backlog
+    /// and on the KV fraction must be common, or the tie-break order
+    /// goes untested.
+    fn random_tel(rng: &mut ServeRng) -> ReplicaTelemetry {
+        ReplicaTelemetry {
+            queue_depth: (rng.next_u64() % 5) as u32,
+            active_requests: (rng.next_u64() % 4) as u32,
+            reserved_tokens: rng.next_u64() % 4096,
+            queued_tokens: rng.next_u64() % 2048,
+            kv_capacity_tokens: 1 + (rng.next_u64() % 4) * 2048,
+            in_flight_tokens: rng.next_u64() % 10_000,
+        }
+    }
+
+    fn scan_next_routable(routable: &[bool], start: usize) -> Option<usize> {
+        let n = routable.len();
+        (0..n).map(|k| (start + k) % n).find(|&i| routable[i])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random interleavings of telemetry deltas, lifecycle flips and
+        /// queries: every indexed answer equals the full rescan, at every
+        /// step, across fleet widths spanning tree padding — the
+        /// round-robin probe over the index's own mask included.
+        #[test]
+        fn index_tracks_full_rescans_through_delta_storms(
+            seed in 0u64..1 << 48,
+            n in 1usize..170,
+            ops in 1usize..300,
+        ) {
+            let mut rng = ServeRng::new(seed);
+            let mut telemetry: Vec<ReplicaTelemetry> =
+                (0..n).map(|_| random_tel(&mut rng)).collect();
+            let mut routable: Vec<bool> =
+                (0..n).map(|_| !rng.next_u64().is_multiple_of(4)).collect();
+            let mut idx = FleetRoutingIndex::new(&telemetry, routable.clone());
+            for step in 0..ops {
+                let i = (rng.next_u64() % n as u64) as usize;
+                match rng.next_u64() % 6 {
+                    // The driver's per-event path: one replica's telemetry
+                    // moves, one O(1) dirty mark.
+                    0 | 1 => {
+                        telemetry[i] = random_tel(&mut rng);
+                        idx.mark_dirty(i);
+                    }
+                    // Lifecycle storm: drain/fail/join at random.
+                    2 => {
+                        routable[i] = !routable[i];
+                        idx.set_routable(i, routable[i]);
+                    }
+                    3 => {
+                        prop_assert_eq!(
+                            idx.min_backlog_replica(&telemetry),
+                            scan_backlog(&telemetry, &routable),
+                            "backlog argmin diverged at step {}", step
+                        );
+                    }
+                    4 => {
+                        prop_assert_eq!(
+                            idx.min_kv_load_replica(&telemetry),
+                            scan_kv(&telemetry, &routable),
+                            "kv argmin diverged at step {}", step
+                        );
+                    }
+                    _ => {
+                        let view = RoutingView::new(&telemetry, idx.routable(), 0.0).with_index(&idx);
+                        prop_assert_eq!(
+                            view.next_routable_from(i),
+                            scan_next_routable(&routable, i),
+                            "next-routable diverged at step {}", step
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    idx.live_count(),
+                    routable.iter().filter(|&&r| r).count(),
+                    "live count drifted at step {}", step
+                );
+            }
+            // Closing sweep: all three lookups, every wrap start.
+            prop_assert_eq!(idx.min_backlog_replica(&telemetry), scan_backlog(&telemetry, &routable));
+            prop_assert_eq!(idx.min_kv_load_replica(&telemetry), scan_kv(&telemetry, &routable));
+            prop_assert_eq!(idx.routable(), &routable[..]);
+            let view = RoutingView::new(&telemetry, idx.routable(), 0.0).with_index(&idx);
+            for start in 0..n {
+                prop_assert_eq!(view.next_routable_from(start), scan_next_routable(&routable, start));
+            }
+        }
     }
 }

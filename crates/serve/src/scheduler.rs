@@ -254,6 +254,24 @@ impl RunStats {
                 + u64::from(self.rejected)
                 + u64::from(self.displaced)
     }
+
+    /// Panics unless the run ended cleanly: every issued request
+    /// completed or was rejected, with nothing pending, queued,
+    /// resident or displaced. [`RunStats::conserved`] alone cannot
+    /// tell a finished run from one whose requests are stuck forever
+    /// (say, behind a slot a non-finite cost made never ready), so a
+    /// report must check this to never silently drop requests.
+    pub(crate) fn assert_settled(&self) {
+        assert!(
+            self.pending_arrivals == 0
+                && self.queued == 0
+                && self.active == 0
+                && self.displaced == 0
+                && u64::from(self.issued) == u64::from(self.completed) + u64::from(self.rejected),
+            "run ended with requests neither completed nor rejected \
+             (a non-finite cost can strand them): {self:?}"
+        );
+    }
 }
 
 /// A resumable single-machine serving run: [`serve_with`] unrolled into
@@ -468,9 +486,15 @@ impl ServeRun {
     }
 
     /// Finalises the run and yields its report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any issued request is still pending, queued or
+    /// resident: a finished run completes or rejects every request.
     #[must_use]
     pub fn into_report(self) -> ServeReport {
         debug_assert!(self.source.exhausted());
+        self.stats().assert_settled();
         self.core.into_report()
     }
 }
@@ -582,7 +606,7 @@ impl Core {
             queue: Vec::new(),
             slab: Slab::with_capacity(config.max_batch as usize),
             active: Vec::with_capacity(config.max_batch as usize),
-            ready_events: CalendarQueue::with_components(config.max_batch as usize),
+            ready_events: CalendarQueue::new(config.max_batch as usize),
             ready_count: 0,
             active_reserved: 0,
             queued_reserved: 0,
@@ -703,9 +727,8 @@ impl Core {
     /// When this core next wants to run: now (its clock) while it has
     /// queued or decodable work, the earliest prefill completion while
     /// everything admitted is still prefilling, infinity when idle.
-    /// O(1) via the ready-event calendar (`&mut` only to let the
-    /// calendar discard lazily-cancelled entries).
-    pub(crate) fn next_event_s(&mut self) -> f64 {
+    /// O(1) via the ready-event calendar.
+    pub(crate) fn next_event_s(&self) -> f64 {
         let next = if self.stalled {
             f64::INFINITY
         } else if self.ready_count > 0 || !self.queue.is_empty() {
@@ -1185,7 +1208,9 @@ impl Core {
         // rebuilt from the slots rather than serialised: it is a pure
         // function of them, and rebuilding keeps the format free of
         // redundant fields that could disagree.
-        let mut ready_events = CalendarQueue::with_components(slab.capacity());
+        // Sized from the slab actually loaded, never from the
+        // snapshot's `max_batch` word: that word is untrusted input.
+        let mut ready_events = CalendarQueue::new(slab.capacity());
         let mut ready_count = 0u32;
         let mut active_reserved = 0u64;
         let mut active_in_flight = 0u64;

@@ -1,12 +1,10 @@
-//! Indexed slab storage with free-list reuse over a chunked bump arena.
+//! Indexed slab storage with free-list reuse.
 //!
 //! The event core keeps every in-flight request in a [`Slab`]: inserts
 //! return a dense `u32` key, removals push the vacated cell onto an
 //! intrusive free list, and later inserts reuse the most recently freed
-//! cell first (LIFO). Cells live in a [`ChunkArena`] — fixed-size
-//! chunks allocated once and never moved — so growth never relocates
-//! live request state and indices stay valid for the run's lifetime.
-//! In steady state — a fleet running at a stable batch size — the slab
+//! cell first (LIFO). Cells live in a plain `Vec`: a core's slab never
+//! holds more than `max_batch` requests at once, so in steady state it
 //! stops allocating entirely; the only growth is the high-water mark,
 //! which it reports as [`Slab::peak_occupancy`] for the perf
 //! trajectory.
@@ -19,8 +17,6 @@
 //! determines future key assignment — so snapshots serialise the raw
 //! cell layout and free-chain verbatim; see [`Slab::save`].
 
-use crate::arena::ChunkArena;
-
 /// Sentinel: end of the free chain / no free cell.
 const NIL: u32 = u32::MAX;
 
@@ -31,12 +27,11 @@ enum Cell<T> {
     Free(u32),
 }
 
-/// A growable arena of `T` addressed by stable `u32` keys, with LIFO
-/// free-list reuse and peak-occupancy tracking. Backed by a
-/// [`ChunkArena`], so cells never move once materialised.
+/// A growable store of `T` addressed by stable `u32` keys, with LIFO
+/// free-list reuse and peak-occupancy tracking.
 #[derive(Debug, Clone)]
-pub struct Slab<T> {
-    cells: ChunkArena<Cell<T>>,
+pub(crate) struct Slab<T> {
+    cells: Vec<Cell<T>>,
     free_head: u32,
     live: u32,
     peak: u32,
@@ -45,7 +40,7 @@ pub struct Slab<T> {
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Self {
-            cells: ChunkArena::new(),
+            cells: Vec::new(),
             free_head: NIL,
             live: 0,
             peak: 0,
@@ -54,17 +49,11 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
-    /// An empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty slab with arena chunks pre-allocated for `n` entries.
+    /// An empty slab with room for `n` entries before it reallocates.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            cells: ChunkArena::with_capacity(n),
+            cells: Vec::with_capacity(n),
             ..Self::default()
         }
     }
@@ -73,12 +62,6 @@ impl<T> Slab<T> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.live as usize
-    }
-
-    /// `true` when no entry is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Highest number of simultaneously live entries ever observed.
@@ -153,35 +136,10 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Exclusive access to the entry at `key`.
-    pub fn get_mut(&mut self, key: u32) -> Option<&mut T> {
-        match self.cells.get_mut(key as usize) {
-            Some(Cell::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
-
     /// `true` if `key` addresses a live entry.
     #[must_use]
     pub fn contains(&self, key: u32) -> bool {
         matches!(self.cells.get(key as usize), Some(Cell::Occupied(_)))
-    }
-
-    /// Live `(key, &entry)` pairs in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.cells.iter().enumerate().filter_map(|(i, c)| match c {
-            Cell::Occupied(v) => Some((i as u32, v)),
-            Cell::Free(_) => None,
-        })
-    }
-
-    /// Drops every entry and the free chain, keeping the allocation.
-    /// Peak occupancy is preserved — it describes the slab's lifetime,
-    /// not the current run of entries.
-    pub fn clear(&mut self) {
-        self.cells.clear();
-        self.free_head = NIL;
-        self.live = 0;
     }
 
     /// Serialises the raw cell layout through `ctx` (typically a
@@ -198,7 +156,7 @@ impl<T> Slab<T> {
         put_u32(ctx, u32::try_from(self.cells.len()).expect("slab fits u32"));
         put_u32(ctx, self.free_head);
         put_u32(ctx, self.peak);
-        for cell in self.cells.iter() {
+        for cell in &self.cells {
             match cell {
                 Cell::Occupied(v) => {
                     put_u32(ctx, 1);
@@ -230,7 +188,7 @@ impl<T> Slab<T> {
         let n = get_u32(ctx)?;
         let free_head = get_u32(ctx)?;
         let peak = get_u32(ctx)?;
-        let mut cells = ChunkArena::new();
+        let mut cells = Vec::new();
         let mut live = 0u32;
         let mut free = 0u32;
         for _ in 0..n {
@@ -283,10 +241,13 @@ impl<T> Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::ServeRng;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert("a");
         let b = s.insert("b");
         assert_eq!(s.len(), 2);
@@ -300,7 +261,7 @@ mod tests {
 
     #[test]
     fn freed_keys_are_reused_lifo() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert(1);
         let b = s.insert(2);
         let c = s.insert(3);
@@ -316,7 +277,7 @@ mod tests {
 
     #[test]
     fn double_remove_is_a_noop() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert(7);
         assert_eq!(s.remove(a), Some(7));
         assert_eq!(s.remove(a), None);
@@ -326,7 +287,7 @@ mod tests {
 
     #[test]
     fn peak_occupancy_is_a_high_water_mark() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert(0);
         let b = s.insert(0);
         s.insert(0);
@@ -336,17 +297,6 @@ mod tests {
         assert_eq!(s.peak_occupancy(), 3);
         s.insert(0);
         assert_eq!(s.peak_occupancy(), 3);
-    }
-
-    #[test]
-    fn iter_yields_live_entries_in_key_order() {
-        let mut s = Slab::new();
-        let a = s.insert(10);
-        let b = s.insert(20);
-        let c = s.insert(30);
-        s.remove(b);
-        let got: Vec<(u32, i32)> = s.iter().map(|(k, &v)| (k, v)).collect();
-        assert_eq!(got, vec![(a, 10), (c, 30)]);
     }
 
     fn roundtrip(s: &Slab<u64>) -> Slab<u64> {
@@ -375,7 +325,7 @@ mod tests {
 
     #[test]
     fn save_load_preserves_fragmentation_and_reuse_order() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let keys: Vec<u32> = (0..6u64).map(|v| s.insert(v)).collect();
         s.remove(keys[1]);
         s.remove(keys[4]);
@@ -420,14 +370,157 @@ mod tests {
         assert!(err.contains("peak"), "got: {err}");
     }
 
+    /// Saves `s` into a flat word stream (framing words widened to
+    /// `u64`) and reloads it, asserting the loader consumed every word.
+    fn save_words(s: &Slab<u64>) -> Vec<u64> {
+        let mut words: Vec<u64> = Vec::new();
+        s.save(&mut words, |w, x| w.push(u64::from(x)), |w, v| w.push(*v));
+        words
+    }
+
+    fn reload_words(words: &[u64]) -> Slab<u64> {
+        let mut cursor = (words, 0usize);
+        let reloaded = Slab::load(
+            &mut cursor,
+            |c| {
+                let w = c.0.get(c.1).copied().ok_or("eof")?;
+                c.1 += 1;
+                u32::try_from(w).map_err(|_| "overflow")
+            },
+            |c| {
+                let w = c.0.get(c.1).copied().ok_or("eof")?;
+                c.1 += 1;
+                Ok(w)
+            },
+            |_| "corrupt",
+        )
+        .expect("pristine layout thaws");
+        assert_eq!(cursor.1, words.len(), "loader consumed every word");
+        reloaded
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Slab keys behave like map keys: never aliased while live,
+        /// lookups always agree, reuse only after removal.
+        #[test]
+        fn slab_agrees_with_the_naive_model(seed in 0u64..1 << 48, n_ops in 1usize..400) {
+            let mut rng = ServeRng::new(seed);
+            let mut slab: Slab<u64> = Slab::default();
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut peak = 0u32;
+            for op in 0..n_ops {
+                if rng.next_u64().is_multiple_of(2) {
+                    let value = rng.next_u64();
+                    let key = slab.insert(value);
+                    prop_assert!(
+                        !model.contains_key(&key),
+                        "op {op}: key {key} aliased while live"
+                    );
+                    model.insert(key, value);
+                } else {
+                    let key = (rng.next_u64() % 16) as u32;
+                    prop_assert_eq!(slab.remove(key), model.remove(&key));
+                }
+                peak = peak.max(model.len() as u32);
+                prop_assert_eq!(slab.len(), model.len());
+                prop_assert_eq!(slab.peak_occupancy(), peak);
+                for key in 0..slab.capacity() as u32 + 1 {
+                    prop_assert_eq!(slab.get(key), model.get(&key), "key {}", key);
+                    prop_assert_eq!(slab.contains(key), model.contains_key(&key));
+                }
+            }
+        }
+
+        /// The raw layout — free chain included — survives serialization:
+        /// a reloaded slab re-serializes to identical words and hands out
+        /// identical keys for identical insert sequences.
+        #[test]
+        fn slab_layout_roundtrips_preserving_reuse_order(seed in 0u64..1 << 48) {
+            let mut rng = ServeRng::new(seed);
+            let mut slab: Slab<u64> = Slab::default();
+            for _ in 0..120 {
+                if rng.next_u64().is_multiple_of(2) {
+                    slab.insert(rng.next_u64());
+                } else {
+                    slab.remove((rng.next_u64() % 16) as u32);
+                }
+            }
+            let words = save_words(&slab);
+            let mut reloaded = reload_words(&words);
+            prop_assert_eq!(&save_words(&reloaded), &words, "reload must re-serialize identically");
+            // Key reuse order is part of the layout: identical inserts on
+            // the original and the reload must yield identical keys.
+            for _ in 0..40 {
+                prop_assert_eq!(slab.insert(7), reloaded.insert(7));
+            }
+        }
+    }
+
+    /// Fleet-scale occupancy: key discipline must hold through churn
+    /// past thousands of resident requests — a key handed out while
+    /// another request lives under it would corrupt two requests'
+    /// state at once.
     #[test]
-    fn clear_keeps_peak() {
-        let mut s = Slab::new();
-        s.insert(1);
-        s.insert(2);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.peak_occupancy(), 2);
-        assert_eq!(s.insert(3), 0);
+    fn slab_keys_never_alias_at_fleet_scale_occupancy() {
+        let mut slab: Slab<u32> = Slab::default();
+        let mut live: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut rng = ServeRng::new(0xF1EE7);
+        for v in 0..6000u32 {
+            let k = slab.insert(v);
+            assert!(live.insert(k, v).is_none(), "key {k} aliased while live");
+        }
+        assert_eq!(slab.peak_occupancy(), 6000);
+        for round in 1..=3u32 {
+            // Free roughly half at random, then refill: every handed-out
+            // key must be vacant in the model, and every survivor must
+            // still read back its own value.
+            let keys: Vec<u32> = live.keys().copied().collect();
+            for &k in &keys {
+                if rng.next_u64().is_multiple_of(2) {
+                    assert_eq!(slab.remove(k), live.remove(&k));
+                }
+            }
+            for v in 0..1000u32 {
+                let value = round * 10_000 + v;
+                let k = slab.insert(value);
+                assert!(
+                    live.insert(k, value).is_none(),
+                    "key {k} aliased while live"
+                );
+            }
+            for (&k, &v) in &live {
+                assert_eq!(slab.get(k), Some(&v));
+            }
+        }
+        // Churn reused freed cells instead of growing the slab.
+        assert_eq!(slab.capacity(), 6000, "reuse must not grow the slab");
+    }
+
+    /// The raw-layout round trip at fleet-scale occupancy: thousands of
+    /// cells and a long fragmented free chain; the reload must
+    /// re-serialize identically and hand out identical keys — reuse
+    /// order is part of the layout contract at every scale.
+    #[test]
+    fn slab_layout_roundtrips_at_fleet_scale_occupancy() {
+        let mut slab: Slab<u64> = Slab::default();
+        let keys: Vec<u32> = (0..4096u64).map(|v| slab.insert(v)).collect();
+        for &k in keys.iter().rev().step_by(3) {
+            slab.remove(k);
+        }
+        let words = save_words(&slab);
+        let mut reloaded = reload_words(&words);
+        assert_eq!(
+            save_words(&reloaded),
+            words,
+            "reload must re-serialize identically"
+        );
+        assert_eq!(reloaded.peak_occupancy(), 4096);
+        // Reuse order: ~1366 freed cells, then fresh growth — identical on
+        // both sides.
+        for v in 0..1500u64 {
+            assert_eq!(slab.insert(v), reloaded.insert(v));
+        }
     }
 }

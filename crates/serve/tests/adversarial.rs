@@ -19,11 +19,16 @@
 //! And per run, the three-way digest equality the whole subsystem
 //! promises: run-to-completion == snapshot-at-midpoint-then-resume ==
 //! command-log replay.
+//!
+//! A hostile cost model closes the file: one whose prefill never
+//! finishes past a context threshold strands requests forever, and
+//! both report entry points must refuse to finish such a run.
 
 use rpu_serve::{
-    churn_tape, digest_fleet_report, fuzz_tape, AnalyticCostModel, DeadlineEdf, Fifo, Fleet,
-    FleetBuilder, FleetRun, FuzzFamily, JoinShortestQueue, LeastKvLoad, PriorityAging, RoundRobin,
-    Router, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity, ShortestJobFirst, Workload,
+    churn_tape, digest_fleet_report, fuzz_tape, serve_with, AnalyticCostModel, CostModel,
+    DeadlineEdf, Fifo, Fleet, FleetBuilder, FleetRun, FuzzFamily, JoinShortestQueue, LeastKvLoad,
+    PriorityAging, RoundRobin, Router, RunStats, SchedulingPolicy, ServeConfig, SessionAffinity,
+    ShortestJobFirst, Workload,
 };
 
 const REPLICAS: usize = 3;
@@ -333,4 +338,72 @@ fn fuzz_tapes_are_actually_hostile() {
         sorted.windows(2).any(|w| w[0] == w[1]),
         "flash-burst tape has no simultaneous arrivals"
     );
+}
+
+/// A machine whose prefill never finishes once the context passes
+/// `threshold` tokens: the admitted request's slot is never ready, so
+/// it neither completes nor is rejected.
+#[derive(Clone, Copy)]
+struct InfiniteBeyond {
+    inner: AnalyticCostModel,
+    threshold: u32,
+}
+
+impl CostModel for InfiniteBeyond {
+    fn decode_step_s(&mut self, batch: u32, max_context: u32) -> f64 {
+        self.inner.decode_step_s(batch, max_context)
+    }
+
+    fn prefill_s(&mut self, prompt_len: u32) -> f64 {
+        if prompt_len > self.threshold {
+            f64::INFINITY
+        } else {
+            self.inner.prefill_s(prompt_len)
+        }
+    }
+
+    fn fits(&self, context_tokens: u64) -> bool {
+        self.inner.fits(context_tokens)
+    }
+
+    fn kv_capacity_tokens(&self) -> u64 {
+        self.inner.kv_capacity_tokens()
+    }
+}
+
+/// About a fifth of the prompts pass the threshold. KV and batch room
+/// are ample, so the stranded slots never block anyone else: the run
+/// drains everything else and ends "idle" with requests still resident.
+fn stranding_setup() -> (Workload, ServeConfig, InfiniteBeyond) {
+    let mut wl = Workload::poisson(200.0, 256, 16, 32);
+    wl.prompt_lens = rpu_models::LengthDistribution::Uniform { lo: 16, hi: 512 };
+    let cfg = ServeConfig {
+        max_batch: 64,
+        ..ServeConfig::default()
+    };
+    let cost = InfiniteBeyond {
+        inner: AnalyticCostModel {
+            kv_capacity_tokens: 1 << 20,
+            ..AnalyticCostModel::small()
+        },
+        threshold: 400,
+    };
+    (wl, cfg, cost)
+}
+
+#[test]
+#[should_panic(expected = "neither completed nor rejected")]
+fn infinite_cost_strands_fail_loudly_on_a_single_machine() {
+    let (wl, cfg, mut cost) = stranding_setup();
+    let _ = serve_with(&wl, &mut cost, &cfg, &mut Fifo);
+}
+
+#[test]
+#[should_panic(expected = "neither completed nor rejected")]
+fn infinite_cost_strands_fail_loudly_on_a_fleet() {
+    let (wl, cfg, cost) = stranding_setup();
+    let mut fleet = FleetBuilder::new()
+        .group(2, &cfg, || Box::new(cost), || Box::new(Fifo))
+        .build();
+    let _ = fleet.serve(&wl, &mut JoinShortestQueue);
 }

@@ -1,211 +1,134 @@
-//! Differential battery for the `O(log R)` routing index: under random
-//! telemetry delta streams and lifecycle storms, every indexed lookup
-//! stays bit-identical to the full rescan it replaces, and every stock
-//! router decides identically with and without the index attached.
+//! Decision identity for the fleet's routing index: every stock router
+//! picks the same replica whether it reads the index (`O(log R)` tree
+//! roots) or scans the telemetry linearly.
 //!
-//! Two layers:
-//!
-//! * **index vs rescan** — a [`FleetRoutingIndex`] driven by the same
-//!   `O(1)` dirty marks and routable flips the fleet driver issues is
-//!   compared against scans with the routers' exact comparison order,
-//!   query by query, through hundreds of random mutations;
-//! * **router vs router** — each stock router routes the same request
-//!   over the same telemetry twice, once on a bare [`RoutingView`]
-//!   (linear scans) and once with the index attached. The picks must
-//!   match exactly, KV-saturated fallback paths included: the index is
-//!   a pure accelerator, never a behaviour change.
+//! Each property runs a churned fleet under a [`Twin`] router: two
+//! lockstep instances of one stock router, the first routing on the
+//! view the fleet hands it (which carries the index), the second on a
+//! bare copy of that view (which scans). The picks must match on every
+//! decision, KV-saturated fallback paths included: the index is a pure
+//! accelerator, never a behaviour change. Index-vs-rescan checks of
+//! the index itself are unit tests in its module.
 
 use proptest::prelude::*;
+use rpu_models::LengthDistribution;
 use rpu_serve::{
-    FleetRoutingIndex, JoinShortestQueue, LeastKvLoad, ReplicaTelemetry, Request, RoundRobin,
-    Router, RoutingView, ServeRng, SessionAffinity,
+    churn_tape, AnalyticCostModel, Fifo, FleetBuilder, FleetEvent, JoinShortestQueue, LeastKvLoad,
+    Request, RoundRobin, Router, RoutingView, ServeConfig, SessionAffinity, Workload,
 };
 
-fn tel(rng: &mut ServeRng) -> ReplicaTelemetry {
-    // Small ranges on purpose: ties on backlog and on the KV fraction
-    // must be common, or the tie-break order goes untested.
-    ReplicaTelemetry {
-        queue_depth: (rng.next_u64() % 5) as u32,
-        active_requests: (rng.next_u64() % 4) as u32,
-        reserved_tokens: rng.next_u64() % 4096,
-        queued_tokens: rng.next_u64() % 2048,
-        kv_capacity_tokens: 1 + (rng.next_u64() % 4) * 2048,
-        in_flight_tokens: rng.next_u64() % 10_000,
+/// Two instances of one router in lockstep: `indexed` routes on the
+/// fleet's view, `plain` on a bare copy of it. Panics on the first
+/// disagreement.
+struct Twin<R> {
+    indexed: R,
+    plain: R,
+    decisions: u64,
+}
+
+impl<R: Router> Twin<R> {
+    fn new(make: impl Fn() -> R) -> Self {
+        Self {
+            indexed: make(),
+            plain: make(),
+            decisions: 0,
+        }
     }
 }
 
-fn req(rng: &mut ServeRng) -> Request {
-    // Prompt lengths span "always fits" to "fits nowhere", so the
-    // join-shortest-queue headroom filter and its saturated fallback
-    // both come up.
-    let prompt_len = match rng.next_u64() % 4 {
-        0 => 16,
-        1 => 256,
-        2 => 2048,
-        _ => 100_000,
+/// The mask of `view`, for rebuilding it without the index.
+fn mask(view: &RoutingView<'_>) -> Vec<bool> {
+    (0..view.len()).map(|i| view.is_routable(i)).collect()
+}
+
+impl<R: Router> Router for Twin<R> {
+    fn name(&self) -> &'static str {
+        self.indexed.name()
+    }
+
+    fn route(&mut self, req: &Request, view: &RoutingView<'_>) -> usize {
+        let mask = mask(view);
+        let bare = RoutingView::new(view.telemetry(), &mask, view.now_s());
+        let pick = self.indexed.route(req, view);
+        let scanned = self.plain.route(req, &bare);
+        assert_eq!(
+            pick,
+            scanned,
+            "{} diverged at decision {}",
+            self.name(),
+            self.decisions
+        );
+        self.decisions += 1;
+        pick
+    }
+
+    fn on_fleet_event(&mut self, event: &FleetEvent, view: &RoutingView<'_>) {
+        let mask = mask(view);
+        let bare = RoutingView::new(view.telemetry(), &mask, view.now_s());
+        self.indexed.on_fleet_event(event, view);
+        self.plain.on_fleet_event(event, &bare);
+    }
+}
+
+/// Runs one churned fleet under `router`; returns the routing index's
+/// hit count.
+fn run_churned<R: Router>(router: &mut Twin<R>, seed: u64, n: usize, requests: u32) -> u64 {
+    // A small KV capacity and prompts up to three quarters of it keep
+    // replicas KV-saturated often, so join-shortest-queue's exact
+    // fallback scan comes up alongside its indexed fast path.
+    let cost = || {
+        Box::new(AnalyticCostModel {
+            kv_capacity_tokens: 4096,
+            ..AnalyticCostModel::small()
+        }) as _
     };
-    Request {
-        id: (rng.next_u64() % 1_000_000) as u32,
-        arrival_s: 0.0,
-        prompt_len,
-        output_len: (rng.next_u64() % 64) as u32 + 1,
-        tenant: 0,
-        session: rng.next_u64(),
-        class: 0,
-        priority: 0,
-        deadline_s: 1.0,
+    let mut fleet = FleetBuilder::new()
+        .migration_delay_s(0.002)
+        .group(n, &ServeConfig::default(), cost, || Box::new(Fifo) as _)
+        .build();
+    let mut wl = Workload::poisson(600.0 * n as f64, 256, 16, requests);
+    wl.seed = seed;
+    wl.prompt_lens = LengthDistribution::Uniform { lo: 16, hi: 3000 };
+    wl.output_lens = LengthDistribution::Uniform { lo: 1, hi: 64 };
+    let mut run = fleet.start(&wl);
+    let horizon_s = f64::from(requests) / (600.0 * n as f64);
+    for ev in churn_tape(n as u32, seed, horizon_s, requests / 8 + 1) {
+        run.inject(ev);
     }
-}
-
-/// The exact scans the built-in routers used before the index.
-fn scan_backlog(telemetry: &[ReplicaTelemetry], routable: &[bool]) -> Option<usize> {
-    (0..telemetry.len())
-        .filter(|&i| routable[i])
-        .min_by_key(|&i| (telemetry[i].backlog(), i))
-}
-
-fn scan_kv(telemetry: &[ReplicaTelemetry], routable: &[bool]) -> Option<usize> {
-    (0..telemetry.len())
-        .filter(|&i| routable[i])
-        .min_by(|&a, &b| {
-            telemetry[a]
-                .kv_load()
-                .total_cmp(&telemetry[b].kv_load())
-                .then(telemetry[a].backlog().cmp(&telemetry[b].backlog()))
-                .then(a.cmp(&b))
-        })
-}
-
-fn scan_next_routable(routable: &[bool], start: usize) -> Option<usize> {
-    let n = routable.len();
-    (0..n).map(|k| (start + k) % n).find(|&i| routable[i])
+    while run.step(&mut fleet, router) {}
+    let counters = run.perf_counters();
+    let report = run.into_report();
+    assert_eq!(
+        report.aggregate.records.len() as u32 + report.aggregate.rejected,
+        requests
+    );
+    counters.route_index_hits
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random interleavings of telemetry deltas, lifecycle flips and
-    /// queries: every indexed answer equals the full rescan, at every
-    /// step, across fleet widths spanning bitset words and tree
-    /// padding.
-    #[test]
-    fn index_tracks_full_rescans_through_delta_storms(
-        seed in 0u64..1 << 48,
-        n in 1usize..170,
-        ops in 1usize..300,
-    ) {
-        let mut rng = ServeRng::new(seed);
-        let mut telemetry: Vec<ReplicaTelemetry> = (0..n).map(|_| tel(&mut rng)).collect();
-        let mut routable: Vec<bool> = (0..n).map(|_| !rng.next_u64().is_multiple_of(4)).collect();
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
-        for step in 0..ops {
-            let i = (rng.next_u64() % n as u64) as usize;
-            match rng.next_u64() % 6 {
-                // The driver's per-event path: one replica's telemetry
-                // moves, one O(1) dirty mark.
-                0 | 1 => {
-                    telemetry[i] = tel(&mut rng);
-                    idx.mark_dirty(i);
-                }
-                // Lifecycle storm: drain/fail/join at random.
-                2 => {
-                    routable[i] = !routable[i];
-                    idx.set_routable(i, routable[i]);
-                }
-                3 => {
-                    prop_assert_eq!(
-                        idx.min_backlog_replica(&telemetry),
-                        scan_backlog(&telemetry, &routable),
-                        "backlog argmin diverged at step {}", step
-                    );
-                }
-                4 => {
-                    prop_assert_eq!(
-                        idx.min_kv_load_replica(&telemetry),
-                        scan_kv(&telemetry, &routable),
-                        "kv argmin diverged at step {}", step
-                    );
-                }
-                _ => {
-                    prop_assert_eq!(
-                        idx.next_routable_from(i),
-                        scan_next_routable(&routable, i),
-                        "next-routable diverged at step {}", step
-                    );
-                }
-            }
-            prop_assert_eq!(
-                idx.live_count(),
-                routable.iter().filter(|&&r| r).count(),
-                "live count drifted at step {}", step
-            );
-        }
-        // Closing sweep: all three lookups, every wrap start.
-        prop_assert_eq!(idx.min_backlog_replica(&telemetry), scan_backlog(&telemetry, &routable));
-        prop_assert_eq!(idx.min_kv_load_replica(&telemetry), scan_kv(&telemetry, &routable));
-        for start in 0..n {
-            prop_assert_eq!(idx.next_routable_from(start), scan_next_routable(&routable, start));
-        }
-    }
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every stock router picks the same replica on a bare view and on
-    /// an indexed view, request after request, through lifecycle flips
-    /// and telemetry churn — the decision-identity proof behind
-    /// switching the built-ins to `O(log R)` lookups.
+    /// the fleet's indexed view, decision after decision, through
+    /// lifecycle storms and telemetry churn — the decision-identity
+    /// proof behind switching the built-ins to `O(log R)` lookups.
     #[test]
     fn stock_routers_decide_identically_with_and_without_the_index(
         seed in 0u64..1 << 48,
         n in 1usize..150,
-        rounds in 1usize..80,
+        requests in 1u32..240,
     ) {
-        let mut rng = ServeRng::new(seed);
-        let mut telemetry: Vec<ReplicaTelemetry> = (0..n).map(|_| tel(&mut rng)).collect();
-        let mut routable: Vec<bool> = (0..n).map(|_| !rng.next_u64().is_multiple_of(3)).collect();
-        // Routers panic with nothing routable; pin one replica live.
-        let anchor = (rng.next_u64() % n as u64) as usize;
-        routable[anchor] = true;
-        let idx = FleetRoutingIndex::new(&telemetry, &routable);
-        // Stateful routers advance in lockstep on both sides.
-        let mut rr_plain = RoundRobin::new();
-        let mut rr_indexed = RoundRobin::new();
-        let mut aff_plain = SessionAffinity::new();
-        let mut aff_indexed = SessionAffinity::new();
-        for round in 0..rounds {
-            let request = req(&mut rng);
-            let plain = RoutingView::new(&telemetry, &routable, round as f64);
-            let indexed = plain.with_index(&idx);
-            prop_assert_eq!(
-                JoinShortestQueue.route(&request, &plain),
-                JoinShortestQueue.route(&request, &indexed),
-                "jsq diverged at round {}", round
-            );
-            prop_assert_eq!(
-                LeastKvLoad.route(&request, &plain),
-                LeastKvLoad.route(&request, &indexed),
-                "least-kv diverged at round {}", round
-            );
-            let rr_a = rr_plain.route(&request, &plain);
-            let rr_b = rr_indexed.route(&request, &indexed);
-            prop_assert_eq!(rr_a, rr_b, "round-robin diverged at round {}", round);
-            prop_assert_eq!(
-                aff_plain.route(&request, &plain),
-                aff_indexed.route(&request, &indexed),
-                "affinity diverged at round {}", round
-            );
-            // Churn between decisions, exactly as a fleet run would:
-            // telemetry deltas with dirty marks, lifecycle flips.
-            for _ in 0..(rng.next_u64() % 4) {
-                let i = (rng.next_u64() % n as u64) as usize;
-                telemetry[i] = tel(&mut rng);
-                idx.mark_dirty(i);
-            }
-            if rng.next_u64().is_multiple_of(3) {
-                let i = (rng.next_u64() % n as u64) as usize;
-                if i != anchor {
-                    routable[i] = !routable[i];
-                    idx.set_routable(i, routable[i]);
-                }
-            }
-        }
+        let mut jsq = Twin::new(|| JoinShortestQueue);
+        let hits = run_churned(&mut jsq, seed, n, requests);
+        prop_assert!(hits >= jsq.decisions, "jsq bypassed the index");
+        let mut kv = Twin::new(|| LeastKvLoad);
+        let hits = run_churned(&mut kv, seed, n, requests);
+        prop_assert!(hits >= kv.decisions, "least-kv bypassed the index");
+        let mut rr = Twin::new(RoundRobin::new);
+        let hits = run_churned(&mut rr, seed, n, requests);
+        prop_assert!(hits >= rr.decisions, "round-robin bypassed the index");
+        let mut affinity = Twin::new(SessionAffinity::new);
+        run_churned(&mut affinity, seed, n, requests);
+        prop_assert!(affinity.decisions >= u64::from(requests));
     }
 }
