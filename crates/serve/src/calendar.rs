@@ -57,11 +57,13 @@ use crate::min_tree::MinTree;
 /// key: the fold of any finite tick lies below `u64::MAX`.
 const EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
 
-/// Monotone map from a (non-NaN) tick to an unsigned key:
-/// `a.total_cmp(&b) == map(a).cmp(&map(b))`. Invertible via
-/// [`tick_of`], so leaves store only the key.
+/// Monotone map from an `f64` to an unsigned key:
+/// `a.total_cmp(&b) == total_order_key(a).cmp(&total_order_key(b))`
+/// for every pair, signed zeros and NaNs included. Invertible via
+/// [`tick_of`], so leaves store only the key. The fleet report merge
+/// sorts completion records by it too.
 #[inline]
-fn key_of(tick: f64) -> u64 {
+pub(crate) fn total_order_key(tick: f64) -> u64 {
     let bits = tick.to_bits();
     if bits >> 63 == 0 {
         bits | 1 << 63
@@ -70,7 +72,7 @@ fn key_of(tick: f64) -> u64 {
     }
 }
 
-/// Inverse of [`key_of`].
+/// Inverse of [`total_order_key`].
 #[inline]
 fn tick_of(key: u64) -> f64 {
     if key >> 63 == 1 {
@@ -138,7 +140,7 @@ impl CalendarQueue {
         if self.tree.get(i) == EMPTY {
             self.live += 1;
         }
-        self.tree.set(i, (key_of(tick), id));
+        self.tree.set(i, (total_order_key(tick), id));
     }
 
     /// Cancels `id`'s pending wake-up, if any.
@@ -403,8 +405,7 @@ mod tests {
         while let Some(e) = q.pop() {
             drained.push(e);
         }
-        let mut expected: Vec<(f64, u32)> =
-            model.iter().map(|(&id, &tick)| (tick, id)).collect();
+        let mut expected: Vec<(f64, u32)> = model.iter().map(|(&id, &tick)| (tick, id)).collect();
         expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         prop_assert_eq!(drained, expected);
         prop_assert_eq!(q.len(), 0);

@@ -73,7 +73,7 @@
 use std::collections::VecDeque;
 
 use crate::arrivals::{RequestSource, Workload};
-use crate::calendar::CalendarQueue;
+use crate::calendar::{total_order_key, CalendarQueue};
 use crate::class::ClassSpec;
 use crate::cost::CostModel;
 use crate::digest::ReportDigest;
@@ -1194,14 +1194,30 @@ impl FleetRun {
             &mut self.ms_anchor_s,
             self.now_s,
         );
-        let replicas: Vec<ServeReport> = self.cores.into_iter().map(Core::into_report).collect();
+        let Self {
+            cores,
+            assigned,
+            ms_accrued,
+            counts,
+            log,
+            source,
+            wake,
+            telemetry,
+            index,
+            ..
+        } = self;
+        // The loop's state is dead weight from here on: release it
+        // before the merge allocates, so the report's peak does not
+        // sit on top of the command log (16 B per event).
+        drop((log, source, wake, telemetry, index));
+        let replicas: Vec<ServeReport> = cores.into_iter().map(Core::into_report).collect();
         let aggregate = merge(&replicas);
         FleetReport {
             replicas,
-            assigned: self.assigned,
+            assigned,
             aggregate,
-            machine_seconds: self.ms_accrued,
-            lifecycle: self.counts,
+            machine_seconds: ms_accrued,
+            lifecycle: counts,
         }
     }
 }
@@ -1217,26 +1233,16 @@ impl FleetRun {
 /// *machine-seconds per wall-second* — up to N for an N-replica fleet;
 /// [`FleetReport::fleet_utilization`] normalises it.
 pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
-    let mut records: Vec<RequestRecord> = replicas
-        .iter()
-        .flat_map(|r| r.records.iter().copied())
-        .collect();
-    // Fleet-wide completion order; ids break exact finish-time ties.
-    records.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+    let (records, last_finish, first_completed_arrival) = merge_records(replicas);
     let mut rejected_requests: Vec<_> = replicas
         .iter()
         .flat_map(|r| r.rejected_requests.iter().copied())
         .collect();
     rejected_requests.sort_by_key(|r| r.id);
-    let first_arrival = records
+    let first_arrival = rejected_requests
         .iter()
         .map(|r| r.arrival_s)
-        .chain(rejected_requests.iter().map(|r| r.arrival_s))
-        .fold(f64::INFINITY, f64::min);
-    let last_finish = records
-        .iter()
-        .map(|r| r.finish_s)
-        .fold(f64::NEG_INFINITY, f64::max);
+        .fold(first_completed_arrival, f64::min);
     ServeReport {
         makespan_s: if last_finish.is_finite() && first_arrival.is_finite() {
             (last_finish - first_arrival).max(0.0)
@@ -1257,6 +1263,40 @@ pub(crate) fn merge(replicas: &[ServeReport]) -> ServeReport {
             .max()
             .unwrap_or(0),
     }
+}
+
+/// Every replica's completion records in fleet-wide completion order
+/// (`f64::total_cmp` on `finish_s`, ids breaking exact ties), with the
+/// latest finish and the earliest arrival among them, each folded in
+/// that order.
+///
+/// The sort moves one packed `u128` per record instead of the record:
+/// the finish time's total-order key, then the id, then the record's
+/// flat index. Integer order on it is the completion order, and ids
+/// are unique, so an unstable sort yields the one possible order; the
+/// records are then copied once, straight into place. Replica runs
+/// are sorted by finish time but not by id within a tie, so a k-way
+/// merge over them would not give this order.
+fn merge_records(replicas: &[ServeReport]) -> (Vec<RequestRecord>, f64, f64) {
+    let flat: Vec<&RequestRecord> = replicas.iter().flat_map(|r| &r.records).collect();
+    let mut order: Vec<u128> = flat
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let i = u32::try_from(i).expect("record count fits the u32 id space");
+            u128::from(total_order_key(r.finish_s)) << 64 | u128::from(r.id) << 32 | u128::from(i)
+        })
+        .collect();
+    order.sort_unstable();
+    let mut records = Vec::with_capacity(order.len());
+    let (mut last_finish, mut first_arrival) = (f64::NEG_INFINITY, f64::INFINITY);
+    for &packed in &order {
+        let r = *flat[packed as u32 as usize];
+        last_finish = last_finish.max(r.finish_s);
+        first_arrival = first_arrival.min(r.arrival_s);
+        records.push(r);
+    }
+    (records, last_finish, first_arrival)
 }
 
 /// The outcome of serving one workload across a fleet.
@@ -1354,6 +1394,7 @@ mod tests {
     use crate::cost::AnalyticCostModel;
     use crate::lifecycle::churn_tape;
     use crate::policy::Fifo;
+    use crate::request::Request;
     use crate::router::{JoinShortestQueue, RoundRobin, SessionAffinity};
     use rpu_models::LengthDistribution;
 
@@ -1366,6 +1407,150 @@ mod tests {
                 || Box::new(Fifo),
             )
             .build()
+    }
+
+    /// The merge that `merge` replaced: copy every record, then a stable
+    /// `total_cmp` sort with ids breaking exact finish-time ties; the
+    /// makespan folded over the sorted records, then the rejections.
+    fn merge_by_copy_and_sort(replicas: &[ServeReport]) -> (Vec<RequestRecord>, f64) {
+        let mut records: Vec<RequestRecord> = replicas
+            .iter()
+            .flat_map(|r| r.records.iter().copied())
+            .collect();
+        records.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+        let first_arrival = records
+            .iter()
+            .map(|r| r.arrival_s)
+            .chain(
+                replicas
+                    .iter()
+                    .flat_map(|r| &r.rejected_requests)
+                    .map(|r| r.arrival_s),
+            )
+            .fold(f64::INFINITY, f64::min);
+        let last_finish = records
+            .iter()
+            .map(|r| r.finish_s)
+            .fold(f64::NEG_INFINITY, f64::max);
+        (records, (last_finish - first_arrival).max(0.0))
+    }
+
+    fn record(id: u32, finish_s: f64) -> RequestRecord {
+        let arrival_s = -4.0 + f64::from(id % 7) * 0.25;
+        RequestRecord {
+            id,
+            arrival_s,
+            admit_s: arrival_s,
+            first_token_s: arrival_s,
+            finish_s,
+            prompt_len: 16,
+            output_len: 1 + id % 5,
+            tenant: 0,
+            class: 0,
+            preemptions: 0,
+        }
+    }
+
+    fn completed(records: Vec<RequestRecord>) -> ServeReport {
+        ServeReport {
+            records,
+            rejected: 0,
+            rejected_requests: vec![],
+            preemptions: 0,
+            makespan_s: 0.0,
+            decode_busy_s: 0.0,
+            prefill_busy_s: 0.0,
+            decode_iterations: 0,
+            peak_batch: 0,
+            peak_reserved_tokens: 0,
+        }
+    }
+
+    fn assert_merges_like_the_reference(replicas: &[ServeReport]) {
+        let merged = merge(replicas);
+        let (reference, makespan_s) = merge_by_copy_and_sort(replicas);
+        let bits = |r: &RequestRecord| (r.id, r.finish_s.to_bits(), r.arrival_s.to_bits());
+        assert_eq!(
+            merged.records.iter().map(bits).collect::<Vec<_>>(),
+            reference.iter().map(bits).collect::<Vec<_>>()
+        );
+        assert_eq!(merged.makespan_s.to_bits(), makespan_s.to_bits());
+    }
+
+    #[test]
+    fn merge_orders_records_like_copy_and_stable_sort() {
+        let subnormal = f64::from_bits(1);
+        let mut early = completed(vec![record(15, 0.5)]);
+        early.rejected_requests.push(Request {
+            id: 16,
+            arrival_s: -9.0,
+            prompt_len: 1 << 20,
+            output_len: 1,
+            tenant: 0,
+            session: 0,
+            class: 0,
+            priority: 0,
+            deadline_s: 0.0,
+        });
+        let replicas = vec![
+            // Exact finish-time ties inside one replica, in reverse id
+            // order, after a negative finish time and both zeros.
+            completed(vec![
+                record(9, -2.5),
+                record(7, -0.0),
+                record(5, 0.0),
+                record(12, 1.0),
+                record(11, 1.0),
+                record(10, 1.0),
+            ]),
+            completed(vec![]),
+            // Ties across replicas, against both zeros, a subnormal and
+            // the tied run above.
+            completed(vec![
+                record(8, -0.0),
+                record(3, 0.0),
+                record(4, subnormal),
+                record(2, 1.0),
+                record(13, 1.0),
+            ]),
+            completed(vec![
+                record(6, -2.5),
+                record(0, subnormal),
+                record(14, 2.0),
+                record(1, f64::NAN),
+            ]),
+            early,
+        ];
+        assert_merges_like_the_reference(&replicas);
+        assert_merges_like_the_reference(&[]);
+        assert_merges_like_the_reference(&[completed(vec![])]);
+
+        // Seeded: many replicas, finish times from a handful of values
+        // so most records tie, each replica in completion order with
+        // its ties in arbitrary id order.
+        let finishes = [-1.0, -0.0, 0.0, subnormal, 0.25, 0.5, 3.0];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut ids: Vec<u32> = (0..2000).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut replicas: Vec<ServeReport> = (0..9).map(|_| completed(vec![])).collect();
+        for id in ids {
+            let finish = finishes[(next() % finishes.len() as u64) as usize];
+            replicas[(next() % 9) as usize]
+                .records
+                .push(record(id, finish));
+        }
+        for r in &mut replicas {
+            r.records.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
+        }
+        assert_merges_like_the_reference(&replicas);
     }
 
     #[test]

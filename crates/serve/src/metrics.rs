@@ -9,10 +9,13 @@ use crate::scheduler::ServeReport;
 use rpu_util::stats::Percentiles;
 use rpu_util::table::{num, Table};
 
-/// Latency summaries served from an already-allocated scratch buffer
-/// (no realloc), process-wide. Diagnostic only — the repro driver's
-/// `--counters` report reads it to confirm the reporting path stays
-/// allocation-free after its first buffer.
+/// Latency summaries served from a scratch column that was already
+/// allocated large enough (no growth), process-wide. Each summary pass
+/// fills three columns (TTFT, TPOT, E2E) sized once for the whole run;
+/// a multi-class report reuses them for the aggregate and every
+/// class, so each non-empty column summary counts one hit. Diagnostic
+/// only: the repro driver's `--counters` report reads it to confirm
+/// the reporting path does not reallocate per metric or per class.
 static SCRATCH_REUSE_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of latency summaries that reused an existing
@@ -61,46 +64,76 @@ impl SloReport {
     /// Summarises a serve run against one set of SLO targets.
     #[must_use]
     pub fn new(report: &ServeReport, slo: &SloTargets) -> Self {
-        let records: Vec<&RequestRecord> = report.records.iter().collect();
-        summarise(&records, report.rejected, report, &|_| *slo)
+        let mut columns = Columns::with_capacity(report.records.len());
+        summarise(&mut columns, report, report.rejected, |_| true, |_| *slo)
     }
 }
 
-/// Builds one [`SloReport`] over a record subset, judging each record
-/// against the targets `slo_of` assigns it. Rates share the run's
-/// makespan, so per-class rates sum to the aggregate's.
-fn summarise(
-    records: &[&RequestRecord],
-    rejected: u32,
-    run: &ServeReport,
-    slo_of: &dyn Fn(&RequestRecord) -> SloTargets,
-) -> SloReport {
-    // One scratch buffer serves all three latency summaries: filled,
-    // summarised by selection (no sort, no per-metric allocation),
-    // refilled. At fleet scale the old path — three sample vectors,
-    // each fully sorted — dominated report time.
-    let mut scratch: Vec<f64> = Vec::with_capacity(records.len());
-    let summarise_metric = |scratch: &mut Vec<f64>, sample: &dyn Fn(&RequestRecord) -> f64| {
-        let cap = scratch.capacity();
-        scratch.clear();
-        scratch.extend(records.iter().map(|r| sample(r)));
-        if cap > 0 && scratch.capacity() == cap {
-            SCRATCH_REUSE_HITS.fetch_add(1, Ordering::Relaxed);
+/// The three latency columns one summary pass fills, kept between
+/// passes so the per-class summaries reuse the aggregate's buffers.
+struct Columns {
+    ttft: Vec<f64>,
+    tpot: Vec<f64>,
+    e2e: Vec<f64>,
+}
+
+impl Columns {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            ttft: Vec::with_capacity(n),
+            tpot: Vec::with_capacity(n),
+            e2e: Vec::with_capacity(n),
         }
-        Percentiles::from_scratch(scratch)
-    };
-    let ttft = summarise_metric(&mut scratch, &RequestRecord::ttft_s);
-    let tpot = summarise_metric(&mut scratch, &RequestRecord::tpot_s);
-    let e2e = summarise_metric(&mut scratch, &RequestRecord::e2e_s);
-    let good = records
-        .iter()
-        .filter(|r| {
-            let slo = slo_of(r);
-            r.ttft_s() <= slo.ttft_s && r.tpot_s() <= slo.tpot_s
-        })
-        .count();
-    let completed = records.len();
-    let tokens: u64 = records.iter().map(|r| u64::from(r.output_len)).sum();
+    }
+}
+
+/// Summarises one column by selection (no sort, no allocation) and
+/// counts a scratch reuse hit when a non-empty fill did not grow the
+/// column from its capacity `cap` before the fill.
+fn summarise_column(column: &mut Vec<f64>, cap: usize) -> Percentiles {
+    if !column.is_empty() && column.capacity() == cap {
+        SCRATCH_REUSE_HITS.fetch_add(1, Ordering::Relaxed);
+    }
+    Percentiles::from_scratch(column)
+}
+
+/// Builds one [`SloReport`] over the run's records that `keep` selects,
+/// judging each against the targets `slo_of` assigns it. Rates share
+/// the run's makespan, so per-class rates sum to the aggregate's.
+///
+/// One pass over the records fills the three latency columns and
+/// tallies goodput and tokens together; each column is then
+/// summarised by selection. Columns fill in record order, so every
+/// mean accumulates in the order it always has.
+fn summarise(
+    columns: &mut Columns,
+    run: &ServeReport,
+    rejected: u32,
+    keep: impl Fn(&RequestRecord) -> bool,
+    slo_of: impl Fn(&RequestRecord) -> SloTargets,
+) -> SloReport {
+    let caps = [
+        columns.ttft.capacity(),
+        columns.tpot.capacity(),
+        columns.e2e.capacity(),
+    ];
+    columns.ttft.clear();
+    columns.tpot.clear();
+    columns.e2e.clear();
+    let (mut good, mut tokens) = (0usize, 0u64);
+    for r in run.records.iter().filter(|r| keep(r)) {
+        let (ttft, tpot) = (r.ttft_s(), r.tpot_s());
+        columns.ttft.push(ttft);
+        columns.tpot.push(tpot);
+        columns.e2e.push(r.e2e_s());
+        let slo = slo_of(r);
+        good += usize::from(ttft <= slo.ttft_s && tpot <= slo.tpot_s);
+        tokens += u64::from(r.output_len);
+    }
+    let completed = columns.ttft.len();
+    let ttft = summarise_column(&mut columns.ttft, caps[0]);
+    let tpot = summarise_column(&mut columns.tpot, caps[1]);
+    let e2e = summarise_column(&mut columns.e2e, caps[2]);
     let span = run.makespan_s.max(f64::MIN_POSITIVE);
     SloReport {
         ttft,
@@ -171,26 +204,28 @@ impl MultiClassReport {
                 .get(r.class as usize)
                 .map_or_else(SloTargets::interactive, |c| c.slo)
         };
-        let all: Vec<&RequestRecord> = report.records.iter().collect();
-        let aggregate = summarise(&all, report.rejected, report, &slo_of);
+        let mut columns = Columns::with_capacity(report.records.len());
+        let aggregate = summarise(&mut columns, report, report.rejected, |_| true, slo_of);
         let per_class = classes
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let recs: Vec<&RequestRecord> = report
-                    .records
-                    .iter()
-                    .filter(|r| usize::from(r.class) == i)
-                    .collect();
                 let rejected = report
                     .rejected_requests
                     .iter()
                     .filter(|r| usize::from(r.class) == i)
                     .count() as u32;
+                let report = summarise(
+                    &mut columns,
+                    report,
+                    rejected,
+                    |r| usize::from(r.class) == i,
+                    |_| spec.slo,
+                );
                 ClassSlo {
                     name: spec.name,
                     slo: spec.slo,
-                    report: summarise(&recs, rejected, report, &|_| spec.slo),
+                    report,
                 }
             })
             .collect();

@@ -85,11 +85,22 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
     if p.is_nan() || xs.is_empty() {
         return f64::NAN;
     }
+    select_percentile(xs, p, 0).0
+}
+
+/// The closest-rank interpolation behind [`percentile_mut`], selecting
+/// only inside `xs[from..]`, and the floor rank it selected at. The
+/// caller guarantees `xs[..from]` holds the `from` smallest samples
+/// (a previous selection at a rank of at least `from` leaves exactly
+/// that) and that `p`'s floor rank is at least `from`. `xs` is
+/// non-empty and NaN-free, and `p` is not NaN.
+fn select_percentile(xs: &mut [f64], p: f64, from: usize) -> (f64, usize) {
     let rank = (p.clamp(0.0, 100.0) / 100.0) * (xs.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    let (_, &mut lo_v, right) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    debug_assert!(from <= lo, "selection window starts past the rank");
+    let (_, &mut lo_v, right) = xs[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
     let hi_v = if hi == lo {
         lo_v
     } else {
@@ -103,7 +114,7 @@ pub fn percentile_mut(xs: &mut [f64], p: f64) -> f64 {
             .min_by(f64::total_cmp)
             .expect("hi < len, so the right partition is non-empty")
     };
-    lo_v + frac * (hi_v - lo_v)
+    (lo_v + frac * (hi_v - lo_v), lo)
 }
 
 /// The p50/p95/p99 latency summary used by SLO reporting, with the mean
@@ -137,9 +148,12 @@ impl Percentiles {
     /// buffer: NaNs are filtered out of `scratch` in place (order
     /// preserved, so the mean accumulates in sample order and matches
     /// [`Percentiles::from_samples`] bit-for-bit), then each quantile
-    /// is selected without sorting. The buffer is left permuted;
-    /// reusing it across metrics amortises the one allocation the
-    /// summary needs.
+    /// is selected without sorting. The selections nest: p95 is
+    /// selected inside the part p50's selection left above its rank,
+    /// and p99 inside the part above p95's, so the three cost about
+    /// one and a half passes instead of three. The buffer is left
+    /// permuted; reusing it across metrics amortises the one
+    /// allocation the summary needs.
     #[must_use]
     pub fn from_scratch(scratch: &mut Vec<f64>) -> Self {
         scratch.retain(|x| !x.is_nan());
@@ -156,10 +170,13 @@ impl Percentiles {
         // selection passes permute the buffer.
         let mean = mean(scratch);
         let max = scratch.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let (p50, lo50) = select_percentile(scratch, 50.0, 0);
+        let (p95, lo95) = select_percentile(scratch, 95.0, lo50);
+        let (p99, _) = select_percentile(scratch, 99.0, lo95);
         Self {
-            p50: percentile_mut(scratch, 50.0),
-            p95: percentile_mut(scratch, 95.0),
-            p99: percentile_mut(scratch, 99.0),
+            p50,
+            p95,
+            p99,
             mean,
             max,
         }
@@ -333,12 +350,44 @@ mod tests {
         sorted[lo] + frac * (sorted[hi] - sorted[lo])
     }
 
+    /// The summary the sort-based path gave, as bits: p50/p95/p99 by
+    /// [`percentile_by_sort`], then the mean and maximum over the
+    /// NaN-free samples in sample order.
+    fn summary_by_sort(xs: &[f64]) -> [u64; 5] {
+        let clean: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+        let (mean, max) = if clean.is_empty() {
+            (f64::NAN, f64::NAN)
+        } else {
+            (
+                mean(&clean),
+                clean.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            )
+        };
+        [
+            percentile_by_sort(xs, 50.0),
+            percentile_by_sort(xs, 95.0),
+            percentile_by_sort(xs, 99.0),
+            mean,
+            max,
+        ]
+        .map(f64::to_bits)
+    }
+
+    fn summary_bits(s: &Percentiles) -> [u64; 5] {
+        [s.p50, s.p95, s.p99, s.mean, s.max].map(f64::to_bits)
+    }
+
     #[test]
     fn selection_percentile_equals_sort_percentile_exhaustively() {
         // Every sample tuple up to length 4 over a value set chosen to
         // stress the edges — signed zeros, infinities, ties, NaN (which
-        // must be dropped, not ranked) — against every interesting p.
-        // Bit-for-bit: the selection path is a pure optimisation.
+        // must be dropped, not ranked) — against every interesting p,
+        // then seeded random tuples up to length 300 drawn from the
+        // same few values, so long runs of duplicates straddle every
+        // rank. Lengths 1–4 put p50, p95 and p99 on a shared floor
+        // rank, where the nested selections of `from_scratch` start
+        // inside one another's window. Bit-for-bit: the selection path
+        // is a pure optimisation.
         let values = [
             0.0,
             -0.0,
@@ -362,6 +411,31 @@ mod tests {
             250.0,
         ];
         let mut cases = 0u64;
+        let mut check = |xs: &[f64]| {
+            for &p in &ps {
+                let reference = percentile_by_sort(xs, p);
+                let fast = percentile(xs, p);
+                assert_eq!(
+                    reference.to_bits(),
+                    fast.to_bits(),
+                    "diverged on xs={xs:?} p={p}"
+                );
+                cases += 1;
+            }
+            let reference = summary_by_sort(xs);
+            let mut scratch = xs.to_vec();
+            let fast = Percentiles::from_scratch(&mut scratch);
+            assert_eq!(
+                summary_bits(&fast),
+                reference,
+                "from_scratch diverged on xs={xs:?}"
+            );
+            assert_eq!(
+                summary_bits(&Percentiles::from_samples(xs)),
+                summary_bits(&fast),
+                "from_samples diverged on xs={xs:?}"
+            );
+        };
         for len in 0..=4usize {
             let combos = values.len().pow(len as u32);
             for seed in 0..combos {
@@ -371,17 +445,23 @@ mod tests {
                     xs.push(values[s % values.len()]);
                     s /= values.len();
                 }
-                for &p in &ps {
-                    let reference = percentile_by_sort(&xs, p);
-                    let fast = percentile(&xs, p);
-                    assert_eq!(
-                        reference.to_bits(),
-                        fast.to_bits(),
-                        "diverged on xs={xs:?} p={p}"
-                    );
-                    cases += 1;
-                }
+                check(&xs);
             }
+        }
+        // A fixed xorshift stream: reproducible without an RNG crate.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..400 {
+            let len = 5 + (next() % 296) as usize;
+            let xs: Vec<f64> = (0..len)
+                .map(|_| values[(next() % values.len() as u64) as usize])
+                .collect();
+            check(&xs);
         }
         assert!(cases > 30_000, "exhaustive sweep ran {cases} cases");
     }
